@@ -48,11 +48,11 @@ struct ElectionStats {
 /// The HELLO control-plane energy is NOT charged here (the protocol layer
 /// charges it so the cost can be attributed to the ledger).
 ///
-/// With an ExecContext the RNG-free phases (per-node eligibility/threshold
-/// precompute, Algorithm 3 threat scans) fan out over shards; the
-/// T(b_i)-draw loop and every order-sensitive merge stay serial in id
-/// order, so the elected set — and the Rng stream — is bit-identical at
-/// every shard count including the serial exec = nullptr path.
+/// With an ExecContext the RNG-free per-node eligibility/threshold
+/// precompute fans out over id blocks; the T(b_i)-draw loop, Algorithm 3
+/// and the top-up stay serial in id order, so the elected set — and the
+/// Rng stream — is bit-identical at every shard count including the
+/// serial exec = nullptr path.
 std::vector<int> improved_deec_elect(Network& net,
                                      const ImprovedDeecConfig& cfg, int round,
                                      Rng& rng, double death_line,

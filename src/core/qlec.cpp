@@ -2,8 +2,9 @@
 
 #include <algorithm>
 
-#include "geom/spatial_grid.hpp"
 #include "obs/telemetry.hpp"
+#include "util/exec.hpp"
+#include "util/simd.hpp"
 
 namespace qlec {
 
@@ -47,26 +48,7 @@ void QlecProtocol::on_round_start(Network& net, int round, Rng& rng,
 
   // Control plane: each surviving head broadcasts its HELLO across d_c, and
   // every alive node inside the coverage ball spends receive energy on it.
-  if (params_.hello_bits > 0.0 && !heads_.empty()) {
-    if (exec_ != nullptr && exec_->has_partition() && exec_->shards() > 1) {
-      charge_hello_sharded(net, ledger);
-    } else {
-      const SpatialGrid grid(net.positions(), std::max(d_c_, 1.0));
-      for (const int h : heads_) {
-        SensorNode& head = net.node(h);
-        const double tx = radio_.tx_energy(params_.hello_bits, d_c_);
-        ledger.charge(EnergyUse::kControl, head.battery.consume(tx), h);
-        for (const std::size_t j : grid.query(head.pos, d_c_)) {
-          const int jid = static_cast<int>(j);
-          if (jid == h) continue;
-          SensorNode& nbr = net.node(jid);
-          if (!nbr.operational(death_line_)) continue;
-          const double rx = radio_.rx_energy(params_.hello_bits);
-          ledger.charge(EnergyUse::kControl, nbr.battery.consume(rx), jid);
-        }
-      }
-    }
-  }
+  if (params_.hello_bits > 0.0 && !heads_.empty()) charge_hello(net, ledger);
 
   router_.begin_round(heads_);
   // Seed each head's V with one model-based Eq. 15 backup (known y, prior
@@ -104,73 +86,69 @@ void QlecProtocol::on_round_start(Network& net, int round, Rng& rng,
   }
 }
 
-void QlecProtocol::charge_hello_sharded(Network& net, EnergyLedger& ledger) {
-  // Receiver-centric rewrite of the h-major HELLO walk. Equivalence: the
-  // h-major loop touches node j's battery exactly for the covering heads h
-  // (distance2(h, j) <= d_c², a bitwise-symmetric predicate), in ascending
-  // head order (heads_ is sorted): its own tx when h == j, else an rx
-  // gated on j being operational *at that moment*. operational() reads only
-  // j's own battery, so each node's charge sequence is independent of every
-  // other node's — replaying it per node in id order leaves every battery
-  // bit-identical, and only the ledger's bucket accumulation order changes
-  // (digest-free; the energy audit compares with tolerance).
+void QlecProtocol::charge_hello(Network& net, EnergyLedger& ledger) {
+  // Receiver-centric HELLO walk. In ascending head-id order, every head
+  // pays its broadcast tx and every other node j pays one rx per head h
+  // covering it (distance2(h, j) <= d_c², a symmetric predicate), gated on
+  // j being operational *at that moment*. operational() reads only j's own
+  // battery, so j's charge sequence is fixed by how many other covering
+  // heads precede and follow it in id order and by whether j is a head.
   const std::size_t n = net.size();
-  std::vector<Vec3> head_pos;
-  head_pos.reserve(heads_.size());
-  for (const int h : heads_) head_pos.push_back(net.node(h).pos);
-  const SpatialGrid grid(head_pos, std::max(d_c_, 1.0));
+  const std::size_t k = heads_.size();
+  std::vector<double> hx(k), hy(k), hz(k);
+  for (std::size_t s = 0; s < k; ++s) {
+    const Vec3& p = net.node(heads_[s]).pos;
+    hx[s] = p.x;
+    hy[s] = p.y;
+    hz[s] = p.z;
+  }
+  const double r2 = d_c_ * d_c_;
 
-  // Parallel half (RNG-free, disjoint per-node writes): each shard queries
-  // the head grid around its own nodes and records the covering head slots,
-  // sorted so the walk below sees them in head-id order.
-  HelloScratch& sc = hello_scratch_;
-  sc.off.assign(n, 0);
-  sc.cnt.assign(n, 0);
-  sc.per_shard.resize(static_cast<std::size_t>(exec_->shards()));
-  exec_->for_shards([&](int s) {
-    std::vector<std::uint32_t>& buf =
-        sc.per_shard[static_cast<std::size_t>(s)];
-    buf.clear();
-    std::vector<std::size_t> q;
-    for (const std::uint32_t id : exec_->shard_nodes(s)) {
-      grid.query_into(net.node(static_cast<int>(id)).pos, d_c_, q);
-      std::sort(q.begin(), q.end());
-      sc.off[id] = static_cast<std::uint32_t>(buf.size());
-      sc.cnt[id] = static_cast<std::uint32_t>(q.size());
-      for (const std::size_t slot : q)
-        buf.push_back(static_cast<std::uint32_t>(slot));
+  // Parallel half (RNG-free, disjoint per-node writes): each block scans
+  // the head set around its own nodes with the SIMD squared-distance
+  // kernel (bit-identical to distance2; the head set is small, so a scan
+  // beats a grid query) and counts the other covering heads.
+  hello_cover_.resize(n);
+  const simd::Kernels& kr = simd::kernels();
+  for_blocks(exec_, n, [&](std::size_t begin, std::size_t end) {
+    std::vector<double> d2(k);
+    for (std::size_t id = begin; id < end; ++id) {
+      const Vec3& p = net.node(static_cast<int>(id)).pos;
+      kr.dist2_to_point(hx.data(), hy.data(), hz.data(), k, p.x, p.y, p.z,
+                        d2.data());
+      HelloCover c;
+      for (std::size_t s = 0; s < k; ++s) {
+        if (!(d2[s] <= r2)) continue;
+        const auto h = static_cast<std::size_t>(heads_[s]);
+        if (h < id) ++c.before;
+        if (h > id) ++c.after;
+      }
+      hello_cover_[id] = c;
     }
   });
 
-  // Serial half: commit the battery charges node by node.
+  // Serial half: commit the charges node by node in id order, so batteries
+  // and every ledger bucket are the same at any block count.
   const double tx = radio_.tx_energy(params_.hello_bits, d_c_);
   const double rx = radio_.rx_energy(params_.hello_bits);
-  for (std::uint32_t id = 0; id < static_cast<std::uint32_t>(n); ++id) {
-    SensorNode& node = net.node(static_cast<int>(id));
-    const std::vector<std::uint32_t>& buf =
-        sc.per_shard[static_cast<std::size_t>(exec_->shard_of(id))];
-    bool self_txed = false;
-    const std::uint32_t off = sc.off[id];
-    for (std::uint32_t k = 0; k < sc.cnt[id]; ++k) {
-      const int h = heads_[buf[off + k]];
-      if (h == static_cast<int>(id)) {
-        ledger.charge(EnergyUse::kControl, node.battery.consume(tx), h);
-        self_txed = true;
-      } else if (node.operational(death_line_)) {
-        ledger.charge(EnergyUse::kControl, node.battery.consume(rx),
-                      static_cast<int>(id));
-      }
-    }
-    // A head's broadcast tx is unconditional in the h-major loop even if a
-    // degenerate radius keeps it out of its own coverage query.
-    if (node.is_head && !self_txed)
-      ledger.charge(EnergyUse::kControl, node.battery.consume(tx),
-                    static_cast<int>(id));
+  for (std::size_t id = 0; id < n; ++id) {
+    const int nid = static_cast<int>(id);
+    SensorNode& node = net.node(nid);
+    const auto hear = [&](std::uint32_t times) {
+      for (; times > 0; --times)
+        if (node.operational(death_line_))
+          ledger.charge(EnergyUse::kControl, node.battery.consume(rx), nid);
+    };
+    const HelloCover& c = hello_cover_[id];
+    hear(c.before);
+    if (node.is_head)
+      ledger.charge(EnergyUse::kControl, node.battery.consume(tx), nid);
+    hear(c.after);
   }
 }
 
 void QlecProtocol::prepare_tx(const Network& net, double packet_bits) {
-  if (exec_ == nullptr || exec_->shards() <= 1) return;
+  if (exec_ == nullptr) return;
   router_.prefill_rows(net, packet_bits, exec_, death_line_);
 }
 

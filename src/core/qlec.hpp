@@ -26,9 +26,10 @@ class QlecProtocol final : public ClusteringProtocol {
   std::string name() const override { return "QLEC"; }
   void on_round_start(Network& net, int round, Rng& rng,
                       EnergyLedger& ledger) override;
-  /// Prefills the router's per-round y-cost rows with the SIMD kernels when
-  /// a sharded ExecContext is attached; behaviorally invisible (the rows
-  /// hold exactly the values the lazy per-route path would compute).
+  /// Prefills the router's per-round y-cost rows with the SIMD kernels,
+  /// fanned over id blocks, when an ExecContext is attached; behaviorally
+  /// invisible (the rows hold exactly the values the lazy per-route path
+  /// would compute).
   void prepare_tx(const Network& net, double packet_bits) override;
   int route(const Network& net, int src, double bits, Rng& rng) override;
   void on_tx_result(const Network& net, int src, int target,
@@ -47,9 +48,9 @@ class QlecProtocol final : public ClusteringProtocol {
   const QlecParams& params() const noexcept { return params_; }
 
  private:
-  /// The sharded HELLO charge (receiver-centric rewrite of the h-major
-  /// broadcast walk; bit-identical batteries, see qlec.cpp).
-  void charge_hello_sharded(Network& net, EnergyLedger& ledger);
+  /// Charges every head's HELLO broadcast and every covered node's
+  /// reception, walking receivers in id order (see qlec.cpp).
+  void charge_hello(Network& net, EnergyLedger& ledger);
 
   QlecParams params_;
   RadioModel radio_;
@@ -62,13 +63,12 @@ class QlecProtocol final : public ClusteringProtocol {
   double uplink_bits_hint_ = 4000.0;  // refreshed from route() calls
   int cur_round_ = -1;                // for telemetry emitted off-round
 
-  /// Round-reused scratch for charge_hello_sharded: per-node [off, cnt)
-  /// windows into per-shard covering-head-slot buffers.
-  struct HelloScratch {
-    std::vector<std::uint32_t> off, cnt;
-    std::vector<std::vector<std::uint32_t>> per_shard;
+  /// Round-reused scratch for charge_hello: per node, how many covering
+  /// heads have a lower / higher id.
+  struct HelloCover {
+    std::uint32_t before = 0, after = 0;
   };
-  HelloScratch hello_scratch_;
+  std::vector<HelloCover> hello_cover_;
 };
 
 }  // namespace qlec

@@ -266,7 +266,7 @@ void QlecRouter::prefill_rows(const Network& net, double bits,
                                 : radio_.amp_energy(bits, radio_.d0());
 
   const std::size_t n = std::min<std::size_t>(v_.size(), net.size());
-  const auto is_member = [&](std::uint32_t id) {
+  const auto is_member = [&](std::size_t id) {
     const SensorNode& node = net.node(static_cast<int>(id));
     return node.operational(death_line) && !node.is_head;
   };
@@ -290,18 +290,18 @@ void QlecRouter::prefill_rows(const Network& net, double bits,
     }
   }
 
-  // Parallel fill: each member's row is written only by its own shard
-  // (disjoint rows), through the SIMD distance -> Eq. 18 -> normalize
-  // chain, each kernel bit-identical to the scalar y_of pipeline.
+  // Parallel fill: each member's row is written only by its own id block
+  // (disjoint rows, in id order), through the SIMD distance -> Eq. 18 ->
+  // normalize chain, each kernel bit-identical to the scalar y_of pipeline.
   const RadioParams& rp = radio_.params();
   const double d0 = radio_.d0();
   const simd::Kernels& kr = simd::kernels();
-  const auto fill_node = [&](std::uint32_t id, double* dbuf, double* ebuf) {
+  const auto fill_node = [&](std::size_t id, double* dbuf, double* ebuf) {
     const Vec3& p = net.node(static_cast<int>(id)).pos;
     kr.dist_to_point(hx_.data(), hy_.data(), hz_.data(), k, p.x, p.y, p.z,
                      dbuf);
     kr.amp_energy(dbuf, k, bits, rp.eps_fs, rp.eps_mp, d0, ebuf);
-    double* row = y_val_.data() + static_cast<std::size_t>(id) * stride_;
+    double* row = y_val_.data() + id * stride_;
     if (scale_head > 0.0) {
       kr.scale_div(ebuf, k, scale_head, row);
     } else {
@@ -309,25 +309,15 @@ void QlecRouter::prefill_rows(const Network& net, double bits,
     }
     // The BS slot keeps the scalar path (distinct normalizer, one entry).
     row[k] = y_of(net, static_cast<int>(id), kBaseStationId, bits);
-    std::uint32_t* trow =
-        y_token_.data() + static_cast<std::size_t>(id) * stride_;
+    std::uint32_t* trow = y_token_.data() + id * stride_;
     const std::uint32_t tok = row_token_[id];
     for (std::size_t i = 0; i <= k; ++i) trow[i] = tok;
   };
-  if (exec != nullptr && exec->has_partition()) {
-    exec->for_shards([&](int s) {
-      Arena& arena = exec->arena(s);
-      double* dbuf = arena.alloc<double>(k);
-      double* ebuf = arena.alloc<double>(k);
-      for (const std::uint32_t id : exec->shard_nodes(s)) {
-        if (id < n && is_member(id)) fill_node(id, dbuf, ebuf);
-      }
-    });
-  } else {
+  for_blocks(exec, n, [&](std::size_t begin, std::size_t end) {
     std::vector<double> dbuf(k), ebuf(k);
-    for (std::uint32_t id = 0; id < static_cast<std::uint32_t>(n); ++id)
+    for (std::size_t id = begin; id < end; ++id)
       if (is_member(id)) fill_node(id, dbuf.data(), ebuf.data());
-  }
+  });
 }
 
 void QlecRouter::record_outcome(int from, int to, bool success) {

@@ -34,10 +34,11 @@ class QlecRouter {
   int choose_target(const Network& net, int src, double bits, Rng& rng);
 
   /// Bulk-fills the per-round y memo for every alive member through the
-  /// SIMD kernels, sharded over `exec` (head rows and the lazy path stay as
-  /// they are). Value-transparent: each filled entry is bit-identical to
-  /// what y_cached would have computed on demand, so routing decisions and
-  /// digests do not depend on whether (or at what shard count) this ran.
+  /// SIMD kernels, fanned over `exec`'s id blocks (head rows and the lazy
+  /// path stay as they are). Value-transparent: each filled entry is
+  /// bit-identical to what y_cached would have computed on demand, so
+  /// routing decisions and digests do not depend on whether (or at what
+  /// shard count) this ran.
   /// Token bookkeeping runs serially on the caller; only the disjoint
   /// per-row value writes fan out.
   void prefill_rows(const Network& net, double bits, ExecContext* exec,

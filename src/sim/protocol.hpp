@@ -80,13 +80,14 @@ class ClusteringProtocol {
     (void)packet_bits;
   }
 
-  /// Attaches the intra-round sharding context for the coming run (nullptr
-  /// detaches = fully serial round core). The simulator calls this when
-  /// SimConfig::exec.shards > 1; the pointer is only valid for that run.
-  /// The determinism contract of util/exec.hpp applies: protocols may fan
-  /// RNG-free per-node work over shards but must keep every RNG draw and
-  /// every order-sensitive merge on the calling thread in canonical order,
-  /// so output is bit-identical at every shard count.
+  /// Attaches the intra-round execution context for the coming run
+  /// (nullptr detaches = fully serial round core). The simulator calls this
+  /// when SimConfig::exec.shards > 1; the pointer is only valid for that
+  /// run. The determinism contract of util/exec.hpp applies: protocols may
+  /// fan RNG-free per-node work over id blocks (`for_blocks`) but must keep
+  /// every RNG draw, ledger charge and order-sensitive merge on the calling
+  /// thread in canonical order, so output is bit-identical at every shard
+  /// count.
   virtual void set_exec(ExecContext* exec) { exec_ = exec; }
 
   /// Attaches the telemetry context for the coming run (nullptr detaches).
@@ -103,7 +104,7 @@ class ClusteringProtocol {
  protected:
   /// The attached context, or nullptr (the common, zero-cost case).
   obs::Telemetry* telemetry_ = nullptr;
-  /// The attached sharding context, or nullptr (serial round core).
+  /// The attached execution context, or nullptr (serial round core).
   ExecContext* exec_ = nullptr;
 };
 

@@ -50,8 +50,8 @@ inline std::vector<int> assign_nearest_head_brute(
 /// merge reproduces the brute loop's winner and tie-break exactly.
 ///
 /// The per-node loop is RNG-free and writes only assignment[node], so when
-/// an ExecContext with a round partition is supplied it fans out over the
-/// spatial shards; output is bit-identical at every shard count.
+/// an ExecContext is supplied it fans out over contiguous id blocks; output
+/// is bit-identical at every shard count.
 inline std::vector<int> assign_nearest_head(const Network& net,
                                             const std::vector<int>& heads,
                                             double death_line,
@@ -64,19 +64,6 @@ inline std::vector<int> assign_nearest_head(const Network& net,
 
   std::vector<int> assignment(net.size(), kBaseStationId);
   if (alive.empty()) return assignment;
-
-  // Runs fn(id) for every node id — sharded when a partition is live. The
-  // shards cover [0, net.size()) disjointly, so this visits each node once.
-  const auto over_nodes = [&](const auto& fn) {
-    if (exec != nullptr && exec->has_partition()) {
-      exec->for_shards([&](int s) {
-        for (const std::uint32_t id : exec->shard_nodes(s)) fn(id);
-      });
-    } else {
-      const std::uint32_t n = static_cast<std::uint32_t>(net.size());
-      for (std::uint32_t id = 0; id < n; ++id) fn(id);
-    }
-  };
 
   constexpr std::size_t kBruteThreshold = 16;
   if (alive.size() < kBruteThreshold) {
@@ -93,12 +80,14 @@ inline std::vector<int> assign_nearest_head(const Network& net,
       zs[c] = p.z;
     }
     const simd::Kernels& kr = simd::kernels();
-    over_nodes([&](std::uint32_t id) {
+    for_blocks(exec, net.size(), [&](std::size_t begin, std::size_t end) {
       double dbuf[kBruteThreshold];
-      const Vec3& p = net.node(static_cast<int>(id)).pos;
-      kr.dist_to_point(xs, ys, zs, k, p.x, p.y, p.z, dbuf);
-      const std::size_t win = kr.argmin(dbuf, k);
-      if (win != simd::npos) assignment[id] = alive[win];
+      for (std::size_t id = begin; id < end; ++id) {
+        const Vec3& p = net.node(static_cast<int>(id)).pos;
+        kr.dist_to_point(xs, ys, zs, k, p.x, p.y, p.z, dbuf);
+        const std::size_t win = kr.argmin(dbuf, k);
+        if (win != simd::npos) assignment[id] = alive[win];
+      }
     });
     return assignment;
   }
@@ -116,37 +105,27 @@ inline std::vector<int> assign_nearest_head(const Network& net,
           : 1.0;
   const SpatialGrid grid(head_pos, cell);
 
-  // Thread-local candidate scratch: over_nodes may run this lambda from
-  // several pool workers at once, but each node id is visited exactly once,
-  // so the assignment writes stay disjoint.
-  const auto assign_one = [&](std::uint32_t id, std::vector<std::size_t>& cands) {
-    const Vec3& p = net.node(static_cast<int>(id)).pos;
-    const std::size_t near = grid.nearest(p);
-    // Upper bound on the true minimum, computed with the same distance()
-    // expression as the brute loop; inflate so sqrt-rounding ties survive
-    // the grid's squared-distance cut.
-    const double d_near = distance(p, head_pos[near]);
-    grid.query_into(p, d_near + 1e-9 * (d_near + 1.0), cands);
-    std::sort(cands.begin(), cands.end());
-    double best = std::numeric_limits<double>::infinity();
-    for (const std::size_t c : cands) {
-      const double d = distance(p, head_pos[c]);
-      if (d < best) {
-        best = d;
-        assignment[id] = alive[c];
+  for_blocks(exec, net.size(), [&](std::size_t begin, std::size_t end) {
+    std::vector<std::size_t> cands;  // per-block scratch
+    for (std::size_t id = begin; id < end; ++id) {
+      const Vec3& p = net.node(static_cast<int>(id)).pos;
+      const std::size_t near = grid.nearest(p);
+      // Upper bound on the true minimum, computed with the same distance()
+      // expression as the brute loop; inflate so sqrt-rounding ties survive
+      // the grid's squared-distance cut.
+      const double d_near = distance(p, head_pos[near]);
+      grid.query_into(p, d_near + 1e-9 * (d_near + 1.0), cands);
+      std::sort(cands.begin(), cands.end());
+      double best = std::numeric_limits<double>::infinity();
+      for (const std::size_t c : cands) {
+        const double d = distance(p, head_pos[c]);
+        if (d < best) {
+          best = d;
+          assignment[id] = alive[c];
+        }
       }
     }
-  };
-  if (exec != nullptr && exec->has_partition()) {
-    exec->for_shards([&](int s) {
-      std::vector<std::size_t> cands;
-      for (const std::uint32_t id : exec->shard_nodes(s)) assign_one(id, cands);
-    });
-  } else {
-    std::vector<std::size_t> cands;
-    const std::uint32_t n = static_cast<std::uint32_t>(net.size());
-    for (std::uint32_t id = 0; id < n; ++id) assign_one(id, cands);
-  }
+  });
   return assignment;
 }
 

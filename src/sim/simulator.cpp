@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "energy/radio_model.hpp"
-#include "geom/region_shards.hpp"
 #include "net/queue.hpp"
 #include "net/traffic.hpp"
 #include "obs/telemetry.hpp"
@@ -119,8 +118,7 @@ class SimRun {
       const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
       shard_pool_ = std::make_unique<ThreadPool>(std::min<std::size_t>(
           static_cast<std::size_t>(cfg.exec.shards), hw));
-      exec_ = std::make_unique<ExecContext>(shard_pool_.get(),
-                                            cfg.exec.shards);
+      exec_ = std::make_unique<ExecContext>(*shard_pool_, cfg.exec.shards);
       protocol.set_exec(exec_.get());
     }
   }
@@ -167,21 +165,12 @@ class SimRun {
   /// freshly elected head set.
   void refresh_round_state() {
     const std::vector<SensorNode>& nodes = net_.nodes();
-    const auto refresh_one = [&](std::size_t i) {
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
       const SensorNode& n = nodes[i];
       rs_.pos[i] = n.pos;
       rs_.residual[i] = n.battery.residual();
       rs_.alive[i] = n.operational(cfg_.death_line) ? 1 : 0;
       rs_.is_head[i] = n.is_head ? 1 : 0;
-    };
-    // Pure per-node mirror writes: sharded when the round partition is
-    // live, with values independent of the decomposition.
-    if (exec_ != nullptr && exec_->has_partition()) {
-      exec_->for_shards([&](int s) {
-        for (const std::uint32_t id : exec_->shard_nodes(s)) refresh_one(id);
-      });
-    } else {
-      for (std::size_t i = 0; i < nodes.size(); ++i) refresh_one(i);
     }
     net_.head_ids_into(rs_.heads);
   }
@@ -833,12 +822,6 @@ SimResult SimRun::run() {
     {
       obs::PhaseTimer election_span(tracer_, "election");
       mobility_.step(net_, cfg_.death_line, rng_);
-      // The spatial partition for this round's sharded phases, built from
-      // the post-mobility positions. A pure function of positions + shard
-      // count, so replays are deterministic.
-      if (exec_ != nullptr)
-        exec_->begin_round(
-            region_partition(net_.positions(), exec_->shards()), net_.size());
       protocol_.on_round_start(net_, round, rng_, result_.energy);
       // Retire the outgoing round's queue-slot mapping before the refresh
       // overwrites rs_.heads (flat mode keeps the identity mapping forever).

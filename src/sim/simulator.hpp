@@ -113,10 +113,11 @@ struct SimConfig {
   /// kind == none (the default) leaves the BS static and every digest
   /// bit-identical. Serialized as the top-level "bs.trajectory" block.
   BsTrajectoryConfig bs_trajectory;
-  /// Intra-round sharding (util/exec.hpp, DESIGN.md §12). shards > 1 fans
-  /// the RNG-free round phases over an internal thread pool; every shard
-  /// count — including 1, the default serial core — produces bit-identical
-  /// traces and golden digests (the shard-invariance suite enforces this).
+  /// Intra-round fan-out (util/exec.hpp, DESIGN.md §12). shards > 1 splits
+  /// the RNG-free round phases into that many contiguous node-id blocks on
+  /// an internal thread pool; every shard count — including 1, the default
+  /// serial core — produces bit-identical traces, golden digests and energy
+  /// ledgers (the shard-invariance suite enforces this).
   ExecOptions exec;
 
   friend bool operator==(const SimConfig&, const SimConfig&) = default;

@@ -2,17 +2,23 @@
 //
 // The determinism contract of util/exec.hpp is that sim.exec.shards is a
 // pure performance knob: every shard count — including 1, the fully serial
-// core — must produce bit-identical traces. This suite proves it end to
-// end: for every protocol in the registry, the golden-trace digests at
-// shard counts {2, 3, 7, 16} must equal the serial digests AND the
-// committed tests/golden/ files (so a sharded run can never drift from the
-// frozen replay baseline either). Fault-storm and telemetry variants cover
-// the paths where sharded phases interleave with fault liveness flips and
+// core — must produce bit-identical runs. This suite proves it end to end:
+// for every protocol in the registry, the golden-trace digests, every
+// energy-ledger bucket, the ledger total and (in audited runs) every
+// per-node ledger total at shard counts {2, 3, 7, 16, 64} must equal the
+// serial run's bit for bit, and the digests must equal the committed
+// tests/golden/ files (so a sharded run can never drift from the frozen
+// replay baseline either). Fault-storm and telemetry variants cover the
+// paths where fanned-out phases interleave with fault liveness flips and
 // observational instrumentation.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <fstream>
+#include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/experiment.hpp"
@@ -26,8 +32,9 @@ namespace {
 
 // Shard counts chosen to hit the interesting decompositions: the serial
 // baseline, even/odd splits, a count that does not divide typical node
-// counts, and one far above the pool width of any CI machine.
-const int kShardCounts[] = {1, 2, 3, 7, 16};
+// counts, one far above the pool width of any CI machine, and one above
+// the golden scenario's 40 nodes (blocks cap at one node each).
+const int kShardCounts[] = {1, 2, 3, 7, 16, 64};
 
 /// The SAME frozen scenario as tests/sim/test_golden_traces.cpp — that is
 /// the point: a sharded run must reproduce the committed digests exactly.
@@ -43,13 +50,43 @@ ExperimentConfig golden_config() {
   return cfg;
 }
 
-std::vector<std::string> digests_for(const std::string& protocol,
-                                     ExperimentConfig cfg, int shards) {
+/// Everything one replication must reproduce bit for bit at any shard
+/// count: the trace digest, then the raw bits of every ledger bucket, the
+/// ledger total and (when the auditor enabled them) every per-node total.
+struct RunBits {
+  std::string digest;
+  std::vector<std::uint64_t> ledger;
+
+  friend bool operator==(const RunBits&, const RunBits&) = default;
+  friend void PrintTo(const RunBits& r, std::ostream* os) {
+    *os << r.digest << " ledger:" << std::hex;
+    for (const std::uint64_t b : r.ledger) *os << ' ' << b;
+    *os << std::dec;
+  }
+};
+
+std::vector<RunBits> run_bits(const std::string& protocol,
+                              ExperimentConfig cfg, int shards) {
   cfg.sim.exec.shards = shards;
   const auto results = run_replications(protocol, cfg);
-  std::vector<std::string> out;
+  std::vector<RunBits> out;
   out.reserve(results.size());
-  for (const SimResult& r : results) out.push_back(trace_digest_hex(r.trace));
+  for (const SimResult& r : results) {
+    RunBits run{trace_digest_hex(r.trace), {}};
+    for (int u = 0; u < static_cast<int>(EnergyUse::kCount_); ++u)
+      run.ledger.push_back(std::bit_cast<std::uint64_t>(
+          r.energy.by_use(static_cast<EnergyUse>(u))));
+    run.ledger.push_back(std::bit_cast<std::uint64_t>(r.energy.total()));
+    for (const double j : r.energy.per_node())
+      run.ledger.push_back(std::bit_cast<std::uint64_t>(j));
+    out.push_back(std::move(run));
+  }
+  return out;
+}
+
+std::vector<std::string> digests_of(const std::vector<RunBits>& runs) {
+  std::vector<std::string> out;
+  for (const RunBits& r : runs) out.push_back(r.digest);
   return out;
 }
 
@@ -67,24 +104,27 @@ TEST(ShardInvariance, EveryProtocolMatchesCommittedGoldensAtEveryShardCount) {
     const std::vector<std::string> golden = read_golden(name);
     ASSERT_FALSE(golden.empty())
         << name << ": missing committed golden digests";
+    const std::vector<RunBits> serial = run_bits(name, cfg, 1);
+    EXPECT_EQ(digests_of(serial), golden)
+        << name << " diverged from the committed goldens";
     for (const int shards : kShardCounts) {
-      EXPECT_EQ(digests_for(name, cfg, shards), golden)
-          << name << " diverged from the committed goldens at shards="
-          << shards << " — the sharded round core is NOT bit-identical "
-          << "to the serial one.";
+      EXPECT_EQ(run_bits(name, cfg, shards), serial)
+          << name << " diverged from the serial run at shards=" << shards
+          << " — the sharded round core is NOT bit-identical to the "
+          << "serial one.";
     }
   }
 }
 
 TEST(ShardInvariance, LargerScenarioIsShardCountInvariant) {
-  // Big enough that the grid-backed assignment path and the sharded HELLO
-  // walk actually engage (k_opt well above the brute-scan threshold).
+  // Big enough that the grid-backed assignment path engages (k_opt well
+  // above the brute-scan threshold) and HELLO coverage balls overlap.
   ExperimentConfig cfg = golden_config();
   cfg.scenario.n = 300;
   cfg.seeds = 1;
-  const std::vector<std::string> serial = digests_for("qlec", cfg, 1);
+  const std::vector<RunBits> serial = run_bits("qlec", cfg, 1);
   for (const int shards : kShardCounts)
-    EXPECT_EQ(digests_for("qlec", cfg, shards), serial) << shards;
+    EXPECT_EQ(run_bits("qlec", cfg, shards), serial) << shards;
 }
 
 TEST(ShardInvariance, FaultStormDigestsAreShardCountInvariant) {
@@ -100,9 +140,9 @@ TEST(ShardInvariance, FaultStormDigestsAreShardCountInvariant) {
   cfg.sim.fault.hazards.degrade_episode = 0.15;
   cfg.sim.fault.hazards.bs_outage = 0.05;
   for (const std::string& name : protocol_names()) {
-    const std::vector<std::string> serial = digests_for(name, cfg, 1);
+    const std::vector<RunBits> serial = run_bits(name, cfg, 1);
     for (const int shards : kShardCounts)
-      EXPECT_EQ(digests_for(name, cfg, shards), serial)
+      EXPECT_EQ(run_bits(name, cfg, shards), serial)
           << name << " at shards=" << shards;
   }
 }
@@ -110,16 +150,17 @@ TEST(ShardInvariance, FaultStormDigestsAreShardCountInvariant) {
 TEST(ShardInvariance, TelemetryAndAuditRunsAreShardCountInvariant) {
   // Observational layers on top of the sharded core: neither telemetry
   // counters nor the per-round auditor may perturb — or be perturbed by —
-  // the shard decomposition.
+  // the block decomposition. The audit also turns on per-node ledger
+  // totals, which must match bit for bit too.
   ExperimentConfig cfg = golden_config();
   cfg.sim.telemetry.enabled = true;
   cfg.sim.audit.enabled = true;
   cfg.sim.audit.throw_on_violation = true;
-  const std::vector<std::string> serial = digests_for("qlec", cfg, 1);
-  EXPECT_EQ(serial, read_golden("qlec"))
+  const std::vector<RunBits> serial = run_bits("qlec", cfg, 1);
+  EXPECT_EQ(digests_of(serial), read_golden("qlec"))
       << "telemetry+audit must not change the trace";
   for (const int shards : kShardCounts)
-    EXPECT_EQ(digests_for("qlec", cfg, shards), serial) << shards;
+    EXPECT_EQ(run_bits("qlec", cfg, shards), serial) << shards;
 }
 
 TEST(ShardInvariance, TerrainWorldDigestsAreShardCountInvariant) {
@@ -144,9 +185,9 @@ TEST(ShardInvariance, TerrainWorldDigestsAreShardCountInvariant) {
   cfg.sim.bs_trajectory.orbit_radius = 60.0;
   cfg.sim.bs_trajectory.orbit_period = 4;
   for (const std::string& name : {std::string("qlec"), std::string("leach")}) {
-    const std::vector<std::string> serial = digests_for(name, cfg, 1);
+    const std::vector<RunBits> serial = run_bits(name, cfg, 1);
     for (const int shards : kShardCounts)
-      EXPECT_EQ(digests_for(name, cfg, shards), serial)
+      EXPECT_EQ(run_bits(name, cfg, shards), serial)
           << name << " at shards=" << shards;
   }
 }
@@ -155,7 +196,7 @@ TEST(ShardInvariance, ShardedRerunsAreBitIdentical) {
   // Same shard count twice: the pool schedule varies between runs, the
   // digests must not.
   ExperimentConfig cfg = golden_config();
-  EXPECT_EQ(digests_for("qlec", cfg, 7), digests_for("qlec", cfg, 7));
+  EXPECT_EQ(run_bits("qlec", cfg, 7), run_bits("qlec", cfg, 7));
 }
 
 }  // namespace
