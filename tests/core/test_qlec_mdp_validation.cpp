@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/qlec_routing.hpp"
-#include "rl/value_iteration.hpp"
+#include "support/value_iteration.hpp"
 
 namespace qlec {
 namespace {

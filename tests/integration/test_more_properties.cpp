@@ -8,7 +8,7 @@
 #include "cluster/heed.hpp"
 #include "core/qlec_routing.hpp"
 #include "geom/sampling.hpp"
-#include "rl/value_iteration.hpp"
+#include "support/value_iteration.hpp"
 #include "sim/experiment.hpp"
 
 namespace qlec {
