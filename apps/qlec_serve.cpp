@@ -35,7 +35,8 @@ const std::vector<std::pair<std::string, std::string>> kOptions = {
                       "keeps the cache in memory only)"},
     {"--telemetry-dir <dir>", "respool per-job telemetry file outputs here "
                               "as <key>.{events.jsonl,trace.json,"
-                              "metrics.json}"},
+                              "metrics.json}; unset rejects any cell with "
+                              "a telemetry file output (400)"},
     {"--max-cells <n>", "reject submissions whose grid exceeds n cells "
                         "(default 10000)"},
     {"--http-workers <n>", "HTTP connection handler threads (default 4)"},

@@ -109,22 +109,24 @@ LogCapture::LogCapture(EventSink& sink) {
 LogCapture::~LogCapture() { log::set_writer(nullptr); }
 
 RingBufferSink::RingBufferSink(std::size_t capacity)
-    : ring_(capacity == 0 ? 1 : capacity, Event("", 0)) {}
+    : capacity_(capacity == 0 ? 1 : capacity) {}
 
 void RingBufferSink::emit(const Event& e) {
-  ring_[head_] = e;
-  head_ = (head_ + 1) % ring_.size();
-  if (size_ < ring_.size()) ++size_;
+  if (ring_.size() < capacity_) {
+    ring_.push_back(e);
+  } else {
+    ring_[head_] = e;
+    head_ = (head_ + 1) % capacity_;
+  }
   ++total_;
 }
 
 std::vector<Event> RingBufferSink::snapshot() const {
-  std::vector<Event> out;
-  out.reserve(size_);
-  // Oldest element sits at head_ once the ring has wrapped.
-  const std::size_t start = size_ == ring_.size() ? head_ : 0;
-  for (std::size_t k = 0; k < size_; ++k)
-    out.push_back(ring_[(start + k) % ring_.size()]);
+  // Oldest element sits at head_ (0 until the ring first wraps).
+  std::vector<Event> out(ring_.begin() + static_cast<std::ptrdiff_t>(head_),
+                         ring_.end());
+  out.insert(out.end(), ring_.begin(),
+             ring_.begin() + static_cast<std::ptrdiff_t>(head_));
   return out;
 }
 

@@ -116,6 +116,8 @@ class LogCapture {
 
 /// Keeps the newest `capacity` events in memory (oldest evicted first).
 /// Useful for tests and post-mortem inspection without touching disk.
+/// Storage grows with the events that arrive, so a large capacity costs
+/// nothing until it is used.
 class RingBufferSink final : public EventSink {
  public:
   explicit RingBufferSink(std::size_t capacity);
@@ -123,14 +125,14 @@ class RingBufferSink final : public EventSink {
 
   /// Events in arrival order, oldest first.
   std::vector<Event> snapshot() const;
-  std::size_t size() const noexcept { return size_; }
+  std::size_t size() const noexcept { return ring_.size(); }
   std::uint64_t total_emitted() const noexcept { return total_; }
-  std::size_t capacity() const noexcept { return ring_.size(); }
+  std::size_t capacity() const noexcept { return capacity_; }
 
  private:
+  std::size_t capacity_;
   std::vector<Event> ring_;
-  std::size_t head_ = 0;  ///< next write slot
-  std::size_t size_ = 0;
+  std::size_t head_ = 0;  ///< next write slot once the ring is full
   std::uint64_t total_ = 0;
 };
 

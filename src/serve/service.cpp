@@ -35,17 +35,25 @@ void reply_error(HttpResponse& resp, int status, const std::string& message,
 /// Respools per-job telemetry file outputs into the daemon's spool
 /// directory, named by the job key so concurrent jobs never share a sink
 /// (OBSERVABILITY.md). Key-neutral by construction: job keys exclude the
-/// telemetry block.
+/// telemetry block. Without a spool directory the daemon opens no file a
+/// client names: any file output is a ConfigError at its leaf.
 void spool_telemetry(ExperimentConfig& cfg, const std::string& dir,
                      const std::string& key) {
   obs::TelemetryOptions& t = cfg.sim.telemetry;
-  if (!t.enabled || dir.empty()) return;
-  if (t.sink == obs::TelemetryOptions::Sink::kFile) {
-    t.events_path = dir + "/" + key + ".events.jsonl";
-  }
-  if (!t.trace_path.empty()) t.trace_path = dir + "/" + key + ".trace.json";
+  if (!t.enabled) return;
+  const auto respool = [&](std::string& path, const std::string& leaf,
+                           const std::string& suffix) {
+    if (dir.empty())
+      throw ConfigError("sim.telemetry." + leaf,
+                        "file telemetry needs a daemon started with "
+                        "--telemetry-dir");
+    path = dir + "/" + key + suffix;
+  };
+  if (t.sink == obs::TelemetryOptions::Sink::kFile)
+    respool(t.events_path, "events_path", ".events.jsonl");
+  if (!t.trace_path.empty()) respool(t.trace_path, "trace_path", ".trace.json");
   if (!t.metrics_path.empty())
-    t.metrics_path = dir + "/" + key + ".metrics.json";
+    respool(t.metrics_path, "metrics_path", ".metrics.json");
 }
 
 struct JobCounts {
@@ -143,19 +151,22 @@ void JobService::handle(const HttpRequest& req, HttpResponse& resp) {
 }
 
 void JobService::post_runs(const HttpRequest& req, HttpResponse& resp) {
-  std::vector<config::SweepCell> cells;
+  std::vector<config::JobSpec> specs;
   config::ScenarioFile scenario;
   try {
     scenario = config::parse_scenario(req.body);
-    cells = config::expand_grid(scenario);
+    const std::vector<config::SweepCell> cells = config::expand_grid(scenario);
+    if (cells.size() > opts_.max_cells)
+      return reply_error(resp, 400,
+                         "grid has " + std::to_string(cells.size()) +
+                             " cells; this daemon accepts at most " +
+                             std::to_string(opts_.max_cells));
+    specs = config::plan(cells);
+    for (config::JobSpec& spec : specs)
+      spool_telemetry(spec.config, opts_.telemetry_dir, spec.key);
   } catch (const ConfigError& e) {
     return reply_error(resp, 400, e.what(), e.path());
   }
-  if (cells.size() > opts_.max_cells)
-    return reply_error(resp, 400,
-                       "grid has " + std::to_string(cells.size()) +
-                           " cells; this daemon accepts at most " +
-                           std::to_string(opts_.max_cells));
 
   int priority = 0;
   if (const auto it = req.query.find("priority"); it != req.query.end())
@@ -168,11 +179,9 @@ void JobService::post_runs(const HttpRequest& req, HttpResponse& resp) {
   auto run = std::make_shared<Run>();
   run->name = scenario.name;
   run->description = scenario.description;
-  run->jobs.reserve(cells.size());
-  for (config::JobSpec& spec : config::plan(cells)) {
-    spool_telemetry(spec.config, opts_.telemetry_dir, spec.key);
+  run->jobs.reserve(specs.size());
+  for (const config::JobSpec& spec : specs)
     run->jobs.push_back(runner_->submit(spec, priority));
-  }
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     run->id = "r" + std::to_string(next_run_++);

@@ -38,7 +38,8 @@ struct ServiceOptions {
   std::string cache_dir;
   /// When set, per-job telemetry file outputs are respooled here as
   /// <dir>/<job key>.{events.jsonl, trace.json, metrics.json}
-  /// (OBSERVABILITY.md); "" leaves client-provided paths untouched.
+  /// (OBSERVABILITY.md); "" rejects any cell with a telemetry file output
+  /// (a 400 at its sim.telemetry.* leaf), so clients cannot name files.
   std::string telemetry_dir;
   /// Per-submission grid cap (the sweep layer itself caps at 10k).
   std::size_t max_cells = 10000;

@@ -95,6 +95,18 @@ TEST(RingBufferSink, ZeroCapacityClampsToOne) {
   EXPECT_EQ(ring.snapshot()[0].round(), 9);
 }
 
+TEST(RingBufferSink, HugeCapacityAllocatesOnlyWhatArrives) {
+  // 2^40 events could never be allocated up front; storage must grow with
+  // the events that actually arrive.
+  obs::RingBufferSink ring(std::size_t{1} << 40);
+  EXPECT_EQ(ring.capacity(), std::size_t{1} << 40);
+  for (int i = 0; i < 3; ++i) ring.emit(obs::Event("e", i));
+  const std::vector<obs::Event> got = ring.snapshot();
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got[0].round(), 0);
+  EXPECT_EQ(got[2].round(), 2);
+}
+
 TEST(FileSink, WritesOneParsableLinePerEvent) {
   const std::string path = "test_obs_filesink.jsonl";
   {

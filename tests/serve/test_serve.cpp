@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
 #include <string>
 
 #include "config/runner.hpp"
@@ -114,6 +116,31 @@ TEST_F(ServeTest, InvalidScenarioIsA400WithPath) {
   EXPECT_NE(r.body.find("scenario.n"), std::string::npos);
   const ClientResponse bad_json = roundtrip("POST", "/v1/runs", "{nope");
   EXPECT_EQ(bad_json.status, 400);
+}
+
+TEST_F(ServeTest, FileTelemetryWithoutSpoolDirIsA400AndWritesNothing) {
+  // This daemon has no --telemetry-dir, so a client may not name files.
+  const std::string path = "serve_untrusted_events.jsonl";
+  std::remove(path.c_str());
+  const ClientResponse r = roundtrip("POST", "/v1/runs?wait=1", R"({
+    "scenario": {"n": 16},
+    "sim": {"rounds": 2, "slots_per_round": 4,
+            "telemetry": {"enabled": true, "sink": "file",
+                          "events_path": ")" + path + R"("}},
+    "seeds": 1
+  })");
+  EXPECT_EQ(r.status, 400);
+  EXPECT_NE(r.body.find("\"path\":\"sim.telemetry.events_path\""),
+            std::string::npos)
+      << r.body;
+  EXPECT_FALSE(std::filesystem::exists(path));
+
+  const ClientResponse metrics = roundtrip("POST", "/v1/runs", R"({
+    "sim": {"telemetry": {"enabled": true, "metrics_path": "m.json"}}
+  })");
+  EXPECT_EQ(metrics.status, 400);
+  EXPECT_NE(metrics.body.find("sim.telemetry.metrics_path"),
+            std::string::npos);
 }
 
 TEST_F(ServeTest, OversizedGridIsRejected) {
