@@ -2,7 +2,9 @@
 // transitively owns: ScenarioConfig (incl. BsPlacement/Deployment), SimConfig
 // with its nested Audit/Trace/Telemetry options, FaultConfig (plan + hazards),
 // and ProtocolOptions (incl. QlecParams). This is what makes scenarios data
-// instead of hand-written C++ mains (DESIGN.md §11).
+// instead of hand-written C++ mains (DESIGN.md §11). schema.cpp declares one
+// field list per struct (key, member, domain); reading and writing are two
+// walks of the same list, so their spellings, order and nesting agree.
 //
 // Contract:
 //   * Every field is serialized, defaults included, so a manifest's config
