@@ -30,7 +30,7 @@ void BM_SendDataVsK(benchmark::State& state) {
   QlecRouter router(params, RadioModel{}, net.size());
   std::vector<int> heads;
   for (std::size_t i = 0; i < k; ++i) heads.push_back(static_cast<int>(i));
-  router.begin_round(heads);
+  router.begin_round(net, heads);
   Rng rng(2);
   const int src = static_cast<int>(k + 10);
   for (auto _ : state) {
@@ -66,7 +66,7 @@ BENCHMARK(BM_HeadSelectionVsN)
 void BM_HeadValueUpdate(benchmark::State& state) {
   Network net = make_net(128, 5);
   QlecRouter router(QlecParams{}, RadioModel{}, net.size());
-  router.begin_round({1, 2, 3});
+  router.begin_round(net, {1, 2, 3});
   for (auto _ : state) {
     router.update_head_value(net, 1, 2000.0);
   }
@@ -90,7 +90,7 @@ void BM_ConvergenceUpdatesX(benchmark::State& state) {
     Rng rng(7);
     std::size_t sweeps = 0;
     for (; sweeps < 500; ++sweeps) {
-      router.begin_round(heads);
+      router.begin_round(net, heads);
       for (std::size_t src = k; src < net.size(); ++src)
         router.choose_target(net, static_cast<int>(src), 4000.0, rng);
       if (router.max_v_delta_this_round() < 1e-9) break;

@@ -8,18 +8,26 @@
 
 namespace qlec {
 
+namespace {
+
+/// Regime-appropriate uplink normalization (see params.hpp): unless set,
+/// scale the uplink y by the amplifier energy at the deployment's mean BS
+/// distance.
+QlecParams with_uplink_scale(QlecParams params, const RadioModel& radio,
+                             const Network& net) {
+  if (params.y_scale_bs <= 0.0 && net.size() > 0)
+    params.y_scale_bs = radio.amp_energy(1.0, net.mean_dist_to_bs());
+  return params;
+}
+
+}  // namespace
+
 QlecProtocol::QlecProtocol(const Network& net, QlecParams params,
                            RadioModel radio, double death_line)
-    : params_(params),
+    : params_(with_uplink_scale(params, radio, net)),
       radio_(radio),
       death_line_(death_line),
-      router_(params, radio, net.size()) {
-  // Regime-appropriate uplink normalization (see params.hpp): scale the
-  // uplink y by the amplifier energy at the deployment's mean BS distance.
-  if (params_.y_scale_bs <= 0.0 && net.size() > 0) {
-    params_.y_scale_bs = radio_.amp_energy(1.0, net.mean_dist_to_bs());
-    router_ = QlecRouter(params_, radio_, net.size());
-  }
+      router_(params_, radio_, net.size()) {
   const double m_side = std::cbrt(std::max(net.domain().volume(), 0.0));
   if (params_.force_k > 0) {
     k_opt_ = static_cast<std::size_t>(params_.force_k);
@@ -50,7 +58,7 @@ void QlecProtocol::on_round_start(Network& net, int round, Rng& rng,
   // every alive node inside the coverage ball spends receive energy on it.
   if (params_.hello_bits > 0.0 && !heads_.empty()) charge_hello(net, ledger);
 
-  router_.begin_round(heads_);
+  router_.begin_round(net, heads_);
   // Seed each head's V with one model-based Eq. 15 backup (known y, prior
   // P estimate). Without this, never-elected heads keep the optimistic
   // V = 0 of initialization and members flood the freshest head every
@@ -145,11 +153,6 @@ void QlecProtocol::charge_hello(Network& net, EnergyLedger& ledger) {
       ledger.charge(EnergyUse::kControl, node.battery.consume(tx), nid);
     hear(c.after);
   }
-}
-
-void QlecProtocol::prepare_tx(const Network& net, double packet_bits) {
-  if (exec_ == nullptr) return;
-  router_.prefill_rows(net, packet_bits, exec_, death_line_);
 }
 
 int QlecProtocol::route(const Network& net, int src, double bits, Rng& rng) {

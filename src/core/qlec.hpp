@@ -26,11 +26,6 @@ class QlecProtocol final : public ClusteringProtocol {
   std::string name() const override { return "QLEC"; }
   void on_round_start(Network& net, int round, Rng& rng,
                       EnergyLedger& ledger) override;
-  /// Prefills the router's per-round y-cost rows with the SIMD kernels,
-  /// fanned over id blocks, when an ExecContext is attached; behaviorally
-  /// invisible (the rows hold exactly the values the lazy per-route path
-  /// would compute).
-  void prepare_tx(const Network& net, double packet_bits) override;
   int route(const Network& net, int src, double bits, Rng& rng) override;
   void on_tx_result(const Network& net, int src, int target,
                     bool success) override;

@@ -4,74 +4,27 @@
 #include <cmath>
 #include <limits>
 
-#include "util/exec.hpp"
 #include "util/simd.hpp"
 
 namespace qlec {
 
 QlecRouter::QlecRouter(QlecParams params, RadioModel radio,
                        std::size_t n_nodes)
-    : params_(params),
-      radio_(radio),
-      v_(n_nodes, 0.0),
-      slot_of_(n_nodes, -1) {}
+    : params_(params), radio_(radio), v_(n_nodes, 0.0) {}
 
-void QlecRouter::begin_round(std::vector<int> heads) {
-  // Retire the outgoing round's action slots before installing the new set.
-  for (const int h : heads_)
-    if (h >= 0 && static_cast<std::size_t>(h) < slot_of_.size())
-      slot_of_[static_cast<std::size_t>(h)] = -1;
+void QlecRouter::begin_round(const Network& net, std::vector<int> heads) {
   heads_ = std::move(heads);
   max_v_delta_ = 0.0;
-
-  ++round_serial_;
-  const std::size_t want_stride = heads_.size() + 1;  // + the BS action
-  if (want_stride > stride_) {
-    stride_ = want_stride;
-    y_val_.assign(v_.size() * stride_, 0.0);
-    y_token_.assign(v_.size() * stride_, 0);
-    // Every row needs a token no surviving entry can match.
-    row_token_.assign(v_.size(), 0);
-    row_round_.assign(v_.size(), 0);
-    row_bits_.assign(v_.size(), 0.0);
+  const std::size_t k = heads_.size();
+  hx_.resize(k);
+  hy_.resize(k);
+  hz_.resize(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    const Vec3& p = net.node(heads_[i]).pos;
+    hx_[i] = p.x;
+    hy_[i] = p.y;
+    hz_[i] = p.z;
   }
-  for (std::size_t i = 0; i < heads_.size(); ++i) {
-    const int h = heads_[i];
-    if (h >= 0 && static_cast<std::size_t>(h) < slot_of_.size())
-      slot_of_[static_cast<std::size_t>(h)] = static_cast<std::int32_t>(i);
-  }
-}
-
-double QlecRouter::y_cached(const Network& net, int src, int target,
-                            double bits) {
-  const std::size_t s = static_cast<std::size_t>(src);
-  if (src < 0 || s >= v_.size() || stride_ == 0)
-    return y_of(net, src, target, bits);
-  std::int32_t slot;
-  if (target == kBaseStationId) {
-    slot = static_cast<std::int32_t>(heads_.size());
-  } else if (target >= 0 && static_cast<std::size_t>(target) < slot_of_.size()) {
-    slot = slot_of_[static_cast<std::size_t>(target)];
-  } else {
-    slot = -1;
-  }
-  if (slot < 0) return y_of(net, src, target, bits);
-
-  if (row_round_[s] != round_serial_ || row_bits_[s] != bits) {
-    row_round_[s] = round_serial_;
-    row_bits_[s] = bits;
-    if (++token_counter_ == 0) {  // u32 wrap: no stale entry may match
-      std::fill(y_token_.begin(), y_token_.end(), 0u);
-      token_counter_ = 1;
-    }
-    row_token_[s] = token_counter_;
-  }
-  const std::size_t idx = s * stride_ + static_cast<std::size_t>(slot);
-  if (y_token_[idx] != row_token_[s]) {
-    y_val_[idx] = y_of(net, src, target, bits);
-    y_token_[idx] = row_token_[s];
-  }
-  return y_val_[idx];
 }
 
 double QlecRouter::x_of(const Network& net, int node_or_bs) const {
@@ -146,31 +99,53 @@ int QlecRouter::choose_target(const Network& net, int src, double bits,
     if (h != src) actions_.push_back(h);
   actions_.push_back(kBaseStationId);
 
-  // Inner Q loop, with the per-action-invariant terms hoisted and y served
-  // from the per-round memo. Every arithmetic expression below matches
-  // q_value()/reward_success()/reward_failure() operation for operation, so
-  // the result is bit-identical to calling q_value() per action.
+  // Inner Q loop, with the per-action-invariant terms hoisted. Every
+  // arithmetic expression below matches q_value()/reward_success()/
+  // reward_failure() operation for operation, so the result is
+  // bit-identical to calling q_value() per action.
   const double x_src = x_of(net, src);
   const double v_src_now = v(src);
   const std::size_t kh = actions_.size() - 1;  // head actions; BS is last
   constexpr std::size_t kSimdThreshold = 8;
   if (kh >= kSimdThreshold) {
-    // SoA gather in actions_ order (y_cached mutates the memo in the same
-    // order as the scalar loop), one q_scan + argmax over the head actions,
-    // then the BS action scalar — the exact inline expressions of the else
-    // branch, so best/best_q land bit-identically (the simd oracle suite
-    // pins q_scan and the first-strict-max argmax to scalar semantics).
+    // The y row to every head slot in one pass of the distance -> Eq. 18 ->
+    // normalize kernels (each bit-identical to its scalar step in y_of),
+    // then an SoA gather in actions_ order (head slots minus src's own),
+    // one q_scan + argmax over the head actions, and the BS action scalar
+    // — the exact inline expressions of the else branch, so best/best_q
+    // land bit-identically (the simd oracle suite pins q_scan and the
+    // first-strict-max argmax to scalar semantics).
+    const std::size_t k = heads_.size();
+    const Vec3& ps = net.node(src).pos;
+    const RadioParams& rp = radio_.params();
+    const double scale_head = params_.y_scale > 0.0
+                                  ? params_.y_scale
+                                  : radio_.amp_energy(bits, radio_.d0());
+    const simd::Kernels& kr = simd::kernels();
+    row_d_.resize(k);
+    row_e_.resize(k);
+    kr.dist_to_point(hx_.data(), hy_.data(), hz_.data(), k, ps.x, ps.y, ps.z,
+                     row_d_.data());
+    kr.amp_energy(row_d_.data(), k, bits, rp.eps_fs, rp.eps_mp, radio_.d0(),
+                  row_e_.data());
+    const double* y_row = row_e_.data();
+    if (scale_head > 0.0) {  // the distances are spent; reuse their buffer
+      kr.scale_div(row_e_.data(), k, scale_head, row_d_.data());
+      y_row = row_d_.data();
+    }
     qs_p_.resize(kh);
     qs_y_.resize(kh);
     qs_x_.resize(kh);
     qs_v_.resize(kh);
     qs_q_.resize(kh);
-    for (std::size_t i = 0; i < kh; ++i) {
-      const int a = actions_[i];
-      qs_y_[i] = y_cached(net, src, a, bits);
+    for (std::size_t slot = 0, i = 0; slot < k; ++slot) {
+      const int a = heads_[slot];
+      if (a == src) continue;
+      qs_y_[i] = y_row[slot];
       qs_p_[i] = estimator_.estimate(src, a);
       qs_x_[i] = x_of(net, a);
       qs_v_[i] = v(a);
+      ++i;
     }
     const simd::QScanConsts c{.x_src = x_src,
                               .v_src = v_src_now,
@@ -180,7 +155,6 @@ int QlecRouter::choose_target(const Network& net, int src, double bits,
                               .beta1 = params_.beta1,
                               .beta2 = params_.beta2,
                               .gamma = params_.gamma};
-    const simd::Kernels& kr = simd::kernels();
     kr.q_scan(qs_p_.data(), qs_y_.data(), qs_x_.data(), qs_v_.data(), kh, c,
               qs_q_.data());
     const std::size_t am = kr.argmax(qs_q_.data(), kh);
@@ -189,7 +163,7 @@ int QlecRouter::choose_target(const Network& net, int src, double bits,
       best = actions_[am];
     }
     {  // the BS action, exactly as the scalar loop's last iteration
-      const double y = y_cached(net, src, kBaseStationId, bits);
+      const double y = y_of(net, src, kBaseStationId, bits);
       double r_s = -params_.g +
                    params_.alpha1 * (x_src + x_of(net, kBaseStationId)) -
                    params_.alpha2 * y;
@@ -212,7 +186,7 @@ int QlecRouter::choose_target(const Network& net, int src, double bits,
     q_evals_ += actions_.size();
   } else {
     for (const int a : actions_) {
-      const double y = y_cached(net, src, a, bits);
+      const double y = y_of(net, src, a, bits);
       double r_s = -params_.g + params_.alpha1 * (x_src + x_of(net, a)) -
                    params_.alpha2 * y;
       if (a == kBaseStationId) r_s -= params_.l;  // Eq. 19's direct-BS penalty
@@ -244,82 +218,6 @@ int QlecRouter::choose_target(const Network& net, int src, double bits,
   return best;
 }
 
-void QlecRouter::prefill_rows(const Network& net, double bits,
-                              ExecContext* exec, double death_line) {
-  if (stride_ == 0 || heads_.empty() || v_.empty()) return;
-  const std::size_t k = heads_.size();
-  if (k + 1 > stride_) return;  // begin_round() guarantees otherwise
-
-  // Head-position SoA, slot-ordered to match the memo's row layout.
-  hx_.resize(k);
-  hy_.resize(k);
-  hz_.resize(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    const Vec3& p = net.node(heads_[i]).pos;
-    hx_[i] = p.x;
-    hy_[i] = p.y;
-    hz_[i] = p.z;
-  }
-  // The head-target normalizer of y_of, lane-invariant across slots.
-  const double scale_head = params_.y_scale > 0.0
-                                ? params_.y_scale
-                                : radio_.amp_energy(bits, radio_.d0());
-
-  const std::size_t n = std::min<std::size_t>(v_.size(), net.size());
-  const auto is_member = [&](std::size_t id) {
-    const SensorNode& node = net.node(static_cast<int>(id));
-    return node.operational(death_line) && !node.is_head;
-  };
-
-  // Serial token pass in id order: exactly the row-refresh bookkeeping that
-  // y_cached performs on a row's first touch with these (round, bits) —
-  // token_counter_ is shared state, so it never fans out. Token values may
-  // differ from what a lazy first-route order would have assigned, but
-  // tokens are pure cache metadata; the y values below are what the digest
-  // can observe, and those are bit-identical to y_of.
-  for (std::uint32_t id = 0; id < static_cast<std::uint32_t>(n); ++id) {
-    if (!is_member(id)) continue;
-    if (row_round_[id] != round_serial_ || row_bits_[id] != bits) {
-      row_round_[id] = round_serial_;
-      row_bits_[id] = bits;
-      if (++token_counter_ == 0) {  // u32 wrap: no stale entry may match
-        std::fill(y_token_.begin(), y_token_.end(), 0u);
-        token_counter_ = 1;
-      }
-      row_token_[id] = token_counter_;
-    }
-  }
-
-  // Parallel fill: each member's row is written only by its own id block
-  // (disjoint rows, in id order), through the SIMD distance -> Eq. 18 ->
-  // normalize chain, each kernel bit-identical to the scalar y_of pipeline.
-  const RadioParams& rp = radio_.params();
-  const double d0 = radio_.d0();
-  const simd::Kernels& kr = simd::kernels();
-  const auto fill_node = [&](std::size_t id, double* dbuf, double* ebuf) {
-    const Vec3& p = net.node(static_cast<int>(id)).pos;
-    kr.dist_to_point(hx_.data(), hy_.data(), hz_.data(), k, p.x, p.y, p.z,
-                     dbuf);
-    kr.amp_energy(dbuf, k, bits, rp.eps_fs, rp.eps_mp, d0, ebuf);
-    double* row = y_val_.data() + id * stride_;
-    if (scale_head > 0.0) {
-      kr.scale_div(ebuf, k, scale_head, row);
-    } else {
-      std::copy(ebuf, ebuf + k, row);
-    }
-    // The BS slot keeps the scalar path (distinct normalizer, one entry).
-    row[k] = y_of(net, static_cast<int>(id), kBaseStationId, bits);
-    std::uint32_t* trow = y_token_.data() + id * stride_;
-    const std::uint32_t tok = row_token_[id];
-    for (std::size_t i = 0; i <= k; ++i) trow[i] = tok;
-  };
-  for_blocks(exec, n, [&](std::size_t begin, std::size_t end) {
-    std::vector<double> dbuf(k), ebuf(k);
-    for (std::size_t id = begin; id < end; ++id)
-      if (is_member(id)) fill_node(id, dbuf.data(), ebuf.data());
-  });
-}
-
 void QlecRouter::record_outcome(int from, int to, bool success) {
   estimator_.record(from, to, success);
 }
@@ -331,7 +229,7 @@ void QlecRouter::update_head_value(const Network& net, int head,
   // The head's uplink carries no direct-to-BS penalty — uplinking the fused
   // data IS its job (Eq. 19's l penalizes members bypassing the hierarchy).
   const double p = estimator_.estimate(head, kBaseStationId);
-  const double y = y_cached(net, head, kBaseStationId, bits);
+  const double y = y_of(net, head, kBaseStationId, bits);
   const double r_s = -params_.g +
                      params_.alpha1 * (x_of(net, head) + params_.x_bs) -
                      params_.alpha2 * y;

@@ -16,33 +16,21 @@
 
 namespace qlec {
 
-class ExecContext;  // util/exec.hpp
-
 class QlecRouter {
  public:
   QlecRouter(QlecParams params, RadioModel radio, std::size_t n_nodes);
 
-  /// Installs this round's head set (Algorithm 1 line 8-9 output). V values
-  /// persist across rounds — a node's V survives its head/member role
-  /// changes, which is what lets learning accumulate.
-  void begin_round(std::vector<int> heads);
+  /// Installs this round's head set (Algorithm 1 line 8-9 output) and
+  /// snapshots the heads' positions (fixed within a round) in head-slot
+  /// order. V values persist across rounds — a node's V survives its
+  /// head/member role changes, which is what lets learning accumulate.
+  void begin_round(const Network& net, std::vector<int> heads);
 
   /// Algorithm 4 Send-Data(b_i): computes Q*(b_i, a_j) for every action,
   /// updates V*(b_i) to the max, and returns the argmax target (a head id or
   /// kBaseStationId). With params.epsilon > 0, explores uniformly with that
   /// probability (V is still updated from the greedy max).
   int choose_target(const Network& net, int src, double bits, Rng& rng);
-
-  /// Bulk-fills the per-round y memo for every alive member through the
-  /// SIMD kernels, fanned over `exec`'s id blocks (head rows and the lazy
-  /// path stay as they are). Value-transparent: each filled entry is
-  /// bit-identical to what y_cached would have computed on demand, so
-  /// routing decisions and digests do not depend on whether (or at what
-  /// shard count) this ran.
-  /// Token bookkeeping runs serially on the caller; only the disjoint
-  /// per-row value writes fan out.
-  void prefill_rows(const Network& net, double bits, ExecContext* exec,
-                    double death_line);
 
   /// ACK outcome of a member -> target attempt; feeds the link estimator.
   void record_outcome(int from, int to, bool success);
@@ -79,8 +67,6 @@ class QlecRouter {
   double x_of(const Network& net, int node_or_bs) const;
   /// Normalized transmission cost y(src, target).
   double y_of(const Network& net, int src, int target, double bits) const;
-  /// y_of through the per-round memo below; bit-identical to y_of.
-  double y_cached(const Network& net, int src, int target, double bits);
   double& v_slot(int node_or_bs);
 
   QlecParams params_;
@@ -96,28 +82,15 @@ class QlecRouter {
   // Scratch action list rebuilt by each choose_target call; a member so the
   // per-packet path allocates nothing once warm.
   std::vector<int> actions_;
-  // Per-round memo of y_of(src, target, bits): y depends only on geometry
-  // (positions are fixed within a round) and `bits`, so each (src, action)
-  // pair is computed once per round instead of once per Q evaluation. Rows
-  // are validated lazily via tokens: an entry is live iff its token matches
-  // its row's token, and a row gets a fresh token whenever the round or the
-  // row's `bits` changes — O(1) invalidation, no per-round clearing of the
-  // value arrays. Slot layout: heads_[i] -> slot i, BS -> slot
-  // heads_.size(); `slot_of_` maps a head id to its slot this round.
-  std::uint32_t round_serial_ = 0;
-  std::uint32_t token_counter_ = 0;
-  std::size_t stride_ = 0;  // max actions per source seen so far
-  std::vector<std::int32_t> slot_of_;
-  std::vector<double> y_val_;
-  std::vector<std::uint32_t> y_token_;
-  std::vector<std::uint32_t> row_token_;
-  std::vector<std::uint32_t> row_round_;
-  std::vector<double> row_bits_;
-  // SoA gather buffers for the SIMD Q-scan in choose_target and the head
-  // positions for prefill_rows; members so the steady state allocates
-  // nothing. Contents are transient within one call.
-  std::vector<double> qs_p_, qs_y_, qs_x_, qs_v_, qs_q_;
+  // This round's head positions in head-slot order (heads_[i] -> slot i),
+  // rebuilt by begin_round; choose_target's SIMD branch computes a
+  // decision's whole y row from them.
   std::vector<double> hx_, hy_, hz_;
+  // Per-decision scratch of choose_target's SIMD branch: the y row's
+  // distance and energy stages, then the SoA gather for the Q-scan.
+  // Members so the steady state allocates nothing.
+  std::vector<double> row_d_, row_e_;
+  std::vector<double> qs_p_, qs_y_, qs_x_, qs_v_, qs_q_;
 };
 
 }  // namespace qlec

@@ -72,9 +72,11 @@ class ClusteringProtocol {
 
   /// Called once per round after election and the simulator's state
   /// refresh, before the first slot: a protocol may hoist per-round TX
-  /// precomputation here (e.g. QLEC prefills its y-cost rows with the SIMD
-  /// kernels). Must be behaviorally invisible — routing decisions, energy,
-  /// and traces are bit-identical whether or not anything is precomputed.
+  /// precomputation here. No in-tree protocol overrides it; it stays as
+  /// the seam where a decorator (perfbench's timing wrapper) marks the
+  /// start of the transmission phase. Must be behaviorally invisible —
+  /// routing decisions, energy, and traces are bit-identical whether or
+  /// not anything is precomputed.
   virtual void prepare_tx(const Network& net, double packet_bits) {
     (void)net;
     (void)packet_bits;

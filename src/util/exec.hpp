@@ -1,7 +1,7 @@
 // Intra-round execution context for the sharded round core (DESIGN.md §12).
 //
 // A round's RNG-free per-node phases — election precompute, HELLO coverage
-// queries, nearest-head assignment, TX y-row prefill — fan out over
+// queries, nearest-head assignment — fan out over
 // contiguous node-id blocks through `for_blocks`; everything RNG-consuming
 // or order-sensitive stays on the calling thread and commits in canonical
 // (node-id or head-index) order. The determinism contract: changing the

@@ -31,7 +31,7 @@ struct Fixture {
 TEST(QlecMdpValidation, RouterConvergesToValueIterationFixedPoint) {
   Fixture f;
   QlecRouter router(f.params, f.radio, f.net.size());
-  router.begin_round({1, 2});
+  router.begin_round(f.net, {1, 2});
 
   // Pin link estimates by feeding the estimator a long deterministic
   // history: p(0->1) ~ 0.75, p(0->2) ~ 0.5, p(0->BS) ~ 0.25.
@@ -79,7 +79,7 @@ TEST(QlecMdpValidation, RouterConvergesToValueIterationFixedPoint) {
 TEST(QlecMdpValidation, QValuesMatchBellmanBackup) {
   Fixture f;
   QlecRouter router(f.params, f.radio, f.net.size());
-  router.begin_round({1, 2});
+  router.begin_round(f.net, {1, 2});
   for (int i = 0; i < 32; ++i) router.record_outcome(0, 1, i % 3 != 0);
 
   const double gamma = f.params.gamma;
@@ -98,7 +98,7 @@ TEST(QlecMdpValidation, QValuesMatchBellmanBackup) {
 TEST(QlecMdpValidation, HeadValueRecursionMatchesClosedForm) {
   Fixture f;
   QlecRouter router(f.params, f.radio, f.net.size());
-  router.begin_round({1});
+  router.begin_round(f.net, {1});
   // Pin the uplink success probability.
   for (int i = 0; i < 64; ++i)
     router.record_outcome(1, kBaseStationId, i % 2 == 0);

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <limits>
+#include <numeric>
+#include <vector>
 
 namespace qlec {
 namespace {
@@ -68,7 +74,7 @@ TEST(QlecRouter, RewardFailureUsesBetaWeights) {
 TEST(QlecRouter, ChoosesNearHeadInitially) {
   const Network net = routing_net();
   QlecRouter router(base_params(), RadioModel{}, net.size());
-  router.begin_round({1, 2});
+  router.begin_round(net, {1, 2});
   Rng rng(1);
   EXPECT_EQ(router.choose_target(net, 0, 4000.0, rng), 1);
 }
@@ -76,7 +82,7 @@ TEST(QlecRouter, ChoosesNearHeadInitially) {
 TEST(QlecRouter, NeverChoosesBsWhenHeadsExist) {
   const Network net = routing_net();
   QlecRouter router(base_params(), RadioModel{}, net.size());
-  router.begin_round({1, 2});
+  router.begin_round(net, {1, 2});
   Rng rng(2);
   for (int i = 0; i < 20; ++i)
     EXPECT_NE(router.choose_target(net, 0, 4000.0, rng), kBaseStationId);
@@ -85,7 +91,7 @@ TEST(QlecRouter, NeverChoosesBsWhenHeadsExist) {
 TEST(QlecRouter, BsIsOnlyOptionWithoutHeads) {
   const Network net = routing_net();
   QlecRouter router(base_params(), RadioModel{}, net.size());
-  router.begin_round({});
+  router.begin_round(net, {});
   Rng rng(3);
   EXPECT_EQ(router.choose_target(net, 0, 4000.0, rng), kBaseStationId);
 }
@@ -93,7 +99,7 @@ TEST(QlecRouter, BsIsOnlyOptionWithoutHeads) {
 TEST(QlecRouter, SelfExcludedFromActions) {
   const Network net = routing_net();
   QlecRouter router(base_params(), RadioModel{}, net.size());
-  router.begin_round({0, 2});  // src itself is a listed head
+  router.begin_round(net, {0, 2});  // src itself is a listed head
   Rng rng(4);
   const int target = router.choose_target(net, 0, 4000.0, rng);
   EXPECT_NE(target, 0);
@@ -102,7 +108,7 @@ TEST(QlecRouter, SelfExcludedFromActions) {
 TEST(QlecRouter, VUpdatedToMaxQ) {
   const Network net = routing_net();
   QlecRouter router(base_params(), RadioModel{}, net.size());
-  router.begin_round({1, 2});
+  router.begin_round(net, {1, 2});
   Rng rng(5);
   router.choose_target(net, 0, 4000.0, rng);
   const double q1 = router.q_value(net, 0, 1, 4000.0);
@@ -120,7 +126,7 @@ TEST(QlecRouter, FailedAcksLowerLinkEstimateAndFlipChoice) {
   Network net(pts, 5.0, {100, 100, 200}, Aabb::cube(200.0));
   QlecParams p = base_params();
   QlecRouter router(p, RadioModel{}, net.size());
-  router.begin_round({1, 2});
+  router.begin_round(net, {1, 2});
   Rng rng(6);
   EXPECT_EQ(router.choose_target(net, 0, 4000.0, rng), 1);
   // Hammer the near link with failures and reinforce the far link. The
@@ -137,7 +143,7 @@ TEST(QlecRouter, FailedAcksLowerLinkEstimateAndFlipChoice) {
 TEST(QlecRouter, QValueUsesEstimatedLinkProbability) {
   const Network net = routing_net();
   QlecRouter router(base_params(), RadioModel{}, net.size());
-  router.begin_round({1});
+  router.begin_round(net, {1});
   const double q_before = router.q_value(net, 0, 1, 4000.0);
   for (int i = 0; i < 32; ++i) router.record_outcome(0, 1, false);
   const double q_after = router.q_value(net, 0, 1, 4000.0);
@@ -147,7 +153,7 @@ TEST(QlecRouter, QValueUsesEstimatedLinkProbability) {
 TEST(QlecRouter, HeadValueUpdateReflectsUplinkCost) {
   const Network net = routing_net();
   QlecRouter router(base_params(), RadioModel{}, net.size());
-  router.begin_round({1, 2});
+  router.begin_round(net, {1, 2});
   // Head 1 is ~100 m from the BS; head 2 is ~sqrt(80^2+150^2) ~ 170 m.
   router.update_head_value(net, 1, 2000.0);
   router.update_head_value(net, 2, 2000.0);
@@ -162,7 +168,7 @@ TEST(QlecRouter, HeadValuesInfluenceMemberChoice) {
   Network net(pts, 5.0, {100, 100, 200}, Aabb::cube(200.0));
   QlecParams p = base_params();
   QlecRouter router(p, RadioModel{}, net.size());
-  router.begin_round({1, 2});
+  router.begin_round(net, {1, 2});
   Rng rng(7);
   EXPECT_EQ(router.choose_target(net, 0, 4000.0, rng), 1);
   // Drive V(1) down via repeated failed uplinks.
@@ -176,7 +182,7 @@ TEST(QlecRouter, HeadValuesInfluenceMemberChoice) {
 TEST(QlecRouter, QEvaluationsCountKPlusOnePerSendData) {
   const Network net = routing_net();
   QlecRouter router(base_params(), RadioModel{}, net.size());
-  router.begin_round({1, 2});
+  router.begin_round(net, {1, 2});
   Rng rng(8);
   const std::size_t before = router.q_evaluations();
   router.choose_target(net, 0, 4000.0, rng);
@@ -189,7 +195,7 @@ TEST(QlecRouter, EpsilonExploresNonGreedyActions) {
   QlecParams p = base_params();
   p.epsilon = 1.0;  // always explore
   QlecRouter router(p, RadioModel{}, net.size());
-  router.begin_round({1, 2});
+  router.begin_round(net, {1, 2});
   Rng rng(9);
   bool saw_other = false;
   for (int i = 0; i < 64 && !saw_other; ++i)
@@ -213,12 +219,81 @@ TEST(QlecRouter, RawJoulesModeMatchesPaperFormulas) {
 TEST(QlecRouter, MaxVDeltaResetsEachRound) {
   const Network net = routing_net();
   QlecRouter router(base_params(), RadioModel{}, net.size());
-  router.begin_round({1});
+  router.begin_round(net, {1});
   Rng rng(10);
   router.choose_target(net, 0, 4000.0, rng);
   EXPECT_GT(router.max_v_delta_this_round(), 0.0);
-  router.begin_round({1});
+  router.begin_round(net, {1});
   EXPECT_DOUBLE_EQ(router.max_v_delta_this_round(), 0.0);
+}
+
+TEST(QlecRouter, ChooseTargetMatchesQValueOracleAcrossHeadCounts) {
+  // choose_target scores up to 7 head actions scalar and 8 or more through
+  // the per-decision SIMD y row and Q-scan. Either way it must return the
+  // first strict argmax of q_value() over [heads \ src..., BS] and store
+  // that max in V(src) bit for bit. k = 8 with src a listed head leaves 7
+  // head actions, so both sides of the threshold are crossed.
+  constexpr std::size_t kNodes = 200;
+  constexpr double kBits = 4000.0;
+  Rng rng(11);
+  std::vector<Vec3> pts(kNodes);
+  std::vector<double> e0(kNodes);
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    pts[i] = {rng.uniform(0, 200), rng.uniform(0, 200), rng.uniform(0, 200)};
+    e0[i] = rng.uniform(2.0, 5.0);
+  }
+  Network net(pts, e0, /*bs=*/{100, 100, 250}, Aabb::cube(200.0));
+  for (std::size_t i = 0; i < kNodes; ++i)
+    net.node(static_cast<int>(i)).battery.consume(rng.uniform(0.0, 1.5));
+  QlecRouter router(base_params(), RadioModel{}, net.size());
+  std::vector<int> ids(kNodes);
+  std::iota(ids.begin(), ids.end(), 0);
+
+  for (const std::size_t k : {7, 8, 9, 16, 33}) {
+    // Two rounds with different head sets: the per-round head SoA must
+    // follow the installed set.
+    for (int round = 0; round < 2; ++round) {
+      rng.shuffle(ids);
+      const std::vector<int> heads(
+          ids.begin(), ids.begin() + static_cast<std::ptrdiff_t>(k));
+      router.begin_round(net, heads);
+      for (const int h : heads) {
+        for (int t = 0; t < 4; ++t)
+          router.record_outcome(h, kBaseStationId, rng.bernoulli(0.7));
+        router.update_head_value(net, h, kBits);
+      }
+      const int member = ids[k];
+      const int listed_head = heads[k / 2];
+      for (const int src : {member, listed_head}) {
+        for (const int h : heads)
+          for (int t = 0; t < 3; ++t)
+            router.record_outcome(src, h, rng.bernoulli(0.6));
+        router.record_outcome(src, kBaseStationId, rng.bernoulli(0.5));
+        // Two decisions per source: the second scans with V(src) != 0.
+        for (int decision = 0; decision < 2; ++decision) {
+          int want = kBaseStationId;
+          double want_q = -std::numeric_limits<double>::infinity();
+          std::vector<int> candidates;
+          for (const int h : heads)
+            if (h != src) candidates.push_back(h);
+          candidates.push_back(kBaseStationId);
+          for (const int a : candidates) {
+            const double q = router.q_value(net, src, a, kBits);
+            if (q > want_q) {
+              want_q = q;
+              want = a;
+            }
+          }
+          const int got = router.choose_target(net, src, kBits, rng);
+          EXPECT_EQ(got, want) << "k=" << k << " round=" << round
+                               << " src=" << src;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(router.v(src)),
+                    std::bit_cast<std::uint64_t>(want_q))
+              << "k=" << k << " round=" << round << " src=" << src;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 // randomized worlds, attenuation monotonicity, the zero-obstruction
 // byte-identity leg of the digest contract, water/harvest math, BsTrajectory
 // determinism across shard counts and ExecPolicy, harvest-credit ledger
-// reconciliation (fault storms included), and the moved-BS memo-invalidation
-// regression for the QlecRouter.
+// reconciliation (fault storms included), and the moved-BS regression for
+// the QlecRouter's y costs.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -333,17 +333,16 @@ TEST(Env, HarvestCreditsReconcileUnderFaultStorm) {
 // ---- the BsPlacement x trajectory seam ----
 
 TEST(QlecRouterMemo, MovedBsInvalidatesCachedDistances) {
-  // The per-round y memo caches normalized BS transmission costs. A
-  // trajectory moves the sink at the round boundary, so a new round MUST
-  // see fresh y values — a stale memo would keep routing toward where the
-  // BS used to be.
+  // A trajectory moves the sink at the round boundary, so a new round MUST
+  // see fresh normalized BS transmission costs y — any cache of them that
+  // outlived the move would keep routing toward where the BS used to be.
   Rng rng(5);
   ScenarioConfig sc;
   sc.n = 20;
   sc.bs = BsPlacement::kCorner;  // BS starts far away at (200, 200, 200)
   Network net = make_uniform_network(sc, rng);
   // Deterministic geometry: the head sits 5 units from src, the corner BS
-  // ~340 away — with a stale memo the head wins, with a fresh one the
+  // ~340 away — with a stale y the head wins, with a fresh one the
   // co-located BS must.
   const int src = 0;
   const int head = 1;
@@ -358,20 +357,20 @@ TEST(QlecRouterMemo, MovedBsInvalidatesCachedDistances) {
   QlecRouter router(params, RadioModel{}, net.size());
   const double bits = 4000.0;
 
-  // Round 0: fill the memo with the far-corner BS geometry.
-  router.begin_round({head});
+  // Round 0: route with the far-corner BS geometry.
+  router.begin_round(net, {head});
   (void)router.choose_target(net, src, bits, rng);
 
   // The sink lands right on top of src; round 1 begins.
   net.set_bs(net.node(src).pos);
-  router.begin_round({head});
+  router.begin_round(net, {head});
   const int chosen = router.choose_target(net, src, bits, rng);
 
-  // Memo-free oracle: with the BS co-located, direct uplink dominates.
+  // q_value oracle: with the BS co-located, direct uplink dominates.
   EXPECT_GT(router.q_value(net, src, kBaseStationId, bits),
             router.q_value(net, src, head, bits));
   EXPECT_EQ(chosen, kBaseStationId)
-      << "choose_target routed by a stale BS-distance memo";
+      << "choose_target routed by a stale BS distance";
 }
 
 }  // namespace
